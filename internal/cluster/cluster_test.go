@@ -236,10 +236,17 @@ func TestScatterPartial(t *testing.T) {
 			http.NotFound(w, r)
 			return
 		}
+		if r.Method != http.MethodPost {
+			t.Errorf("scatter leg used %s, want POST", r.Method)
+		}
 		if got := r.URL.Query().Get("window"); got != "5m" {
 			t.Errorf("window not passed through: %q", got)
 		}
-		gob.NewEncoder(w).Encode(&ShardPayload{Export: &store.Export{Unkeyed: a.State()}})
+		var dreq DeltaRequest
+		if err := gob.NewDecoder(r.Body).Decode(&dreq); err != nil {
+			t.Errorf("decoding delta request: %v", err)
+		}
+		gob.NewEncoder(w).Encode(&ShardDelta{Delta: &store.ExportDelta{Full: true, Export: &store.Export{Unkeyed: a.State()}}})
 	}))
 	defer live.Close()
 	self := "http://10.0.0.1:9147"
@@ -248,7 +255,7 @@ func TestScatterPartial(t *testing.T) {
 		Self: self, Peers: []string{self, live.URL, dead},
 		Client: &http.Client{Timeout: 200 * time.Millisecond},
 	})
-	res := r.ScatterExports(context.Background(), "5m")
+	res := r.ScatterDeltas(context.Background(), "5m")
 	if len(res) != 2 {
 		t.Fatalf("want 2 legs, got %d", len(res))
 	}

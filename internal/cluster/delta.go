@@ -1,24 +1,22 @@
 // Delta scatter: the read-path counterpart of replicated forwarding.
 //
-// A v1 scatter re-ships every peer's entire window export per query —
+// Re-shipping every peer's entire window export per query would put
 // O(total state) bytes on the wire even when nothing changed between
-// polls. v2 makes the coordinator stateful: it remembers, per (peer,
+// polls. Instead the coordinator is stateful: it remembers, per (peer,
 // window), the last full export it reconstructed and the epoch vector
 // it was built at (internal/store's ExportVersion), presents that
 // vector on the next scatter, and the peer ships only the partitions
 // whose epochs moved plus tombstones for the ones that vanished.
 // Patching the remembered baseline with the delta reproduces the
 // peer's current full export exactly — same *agg.State values — so
-// query results are byte-identical to a v1 scatter's.
+// query results are byte-identical to a full fetch's.
 //
 // Correctness never depends on the cache being right: the version
-// vector travels with the baseline, the peer full-ships whenever the
-// presented vector is from another generation or clock quantum (or the
-// first contact, when there is none), and a peer that does not speak
-// v2 (mid-upgrade) makes the leg fall back to a v1 full fetch. An
-// errored leg keeps the stale baseline for later but reports the peer
-// unreachable exactly like v1 — cached data is never passed off as a
-// live answer.
+// vector travels with the baseline, and the peer full-ships whenever
+// the presented vector is from another generation or clock quantum (or
+// the first contact, when there is none). An errored leg keeps the
+// stale baseline for later but reports the peer unreachable — cached
+// data is never passed off as a live answer.
 package cluster
 
 import (
@@ -35,16 +33,21 @@ import (
 	"repro/internal/store"
 )
 
-// DeltaRequest is the v2 /v1/shard POST body: the caller's last-seen
+// DeltaRequest is the /v1/shard POST body: the caller's last-seen
 // version vector for this peer+window. A zero-value request (nil
 // Epochs) asks for a full export.
 type DeltaRequest struct {
 	Ver store.ExportVersion
 }
 
-// ShardDelta is the v2 /v1/shard response envelope: an export delta
-// plus the exporter's hinted-handoff ledger (always full — hints are
-// tiny and change independently of store epochs).
+// ShardDelta is the /v1/shard response envelope: an export delta plus
+// the exporter's hinted-handoff ledger (always full — hints are tiny
+// and change independently of store epochs): for each pusher with
+// batches parked in the exporter's hint queues, the destination peers
+// those hints are bound for. The gather side uses the ledger to prefer
+// a hinter as the partition holder (its copy is a superset — a hint
+// implies the data is in its own journal and store too) and to flag
+// divergence when two reachable nodes both hold hints for one pusher.
 type ShardDelta struct {
 	Delta  *store.ExportDelta
 	Hinted map[string][]string
@@ -150,17 +153,28 @@ func hintedEqual(a, b map[string][]string) bool {
 	return true
 }
 
-// ScatterDeltas is ScatterExports through the per-peer baselines: same
-// fan-out, same result shape (plus Rev), a fraction of the bytes when
-// epochs are unchanged. Each leg POSTs the remembered version vector,
-// applies the delta under the entry lock, and returns a shallow-copied
-// snapshot of the reconstructed export. The Rev in each result
-// identifies the reconstructed view's content: two scatters returning
-// equal (Peer, Rev) pairs returned identical exports, which is what
-// the daemon's rendered-response cache keys on.
+// ScatterDeltas fans a window query out to every other peer's
+// /v1/shard and gathers their partitioned exports. Results come back
+// in peer order (sorted), one entry per peer, errors in place — the
+// caller merges the anonymous partitions from every reachable peer,
+// picks exactly one holder per pusher partition (dedup across
+// replicas), and reports the failures as the query's Incomplete set
+// rather than failing the query. rawWindow is passed through verbatim
+// (the caller already validated it against its own parser, which is
+// the same parser the peer will use).
 //
-// Error legs report Err exactly like v1 — the stale baseline is kept
-// for the peer's recovery but never served as a live answer.
+// Each leg POSTs the remembered version vector, applies the delta
+// under the entry lock, and returns a shallow-copied snapshot of the
+// reconstructed export. The Rev in each result identifies the
+// reconstructed view's content: two scatters returning equal
+// (Peer, Rev) pairs returned identical exports, which is what the
+// daemon's rendered-response cache keys on. An error leg keeps the
+// stale baseline for the peer's recovery but never serves it as a live
+// answer.
+//
+// Scatter legs deliberately ignore the forwarding breakers: those
+// track the ingest path, and a peer refusing writes can still answer
+// reads. Each leg is bounded by QueryTimeout instead.
 func (r *Router) ScatterDeltas(ctx context.Context, rawWindow string) []ShardResult {
 	r.scatters.Add(1)
 	out := make([]ShardResult, len(r.others))
@@ -229,24 +243,6 @@ func (r *Router) fetchShardDelta(ctx context.Context, peer, rawWindow string) Sh
 		return sr
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusMethodNotAllowed {
-		// Pre-v2 peer: fall back to the v1 GET for this leg. The baseline
-		// still updates (as a full export at an empty vector), so the
-		// upgrade path converges to deltas once the peer speaks v2.
-		pl, err := r.fetchShard(ctx, peer, rawWindow)
-		if err != nil {
-			sr.Err = err
-			return sr
-		}
-		r.scatterFullLegs.Add(1)
-		e.apply(&ShardDelta{
-			Delta:  &store.ExportDelta{Full: true, Export: pl.Export},
-			Hinted: pl.Hinted,
-		})
-		sr.Export, sr.Hinted = e.snapshot()
-		sr.Rev = e.rev
-		return sr
-	}
 	if resp.StatusCode != http.StatusOK {
 		sr.Err = fmt.Errorf("shard query: %s", resp.Status)
 		return sr

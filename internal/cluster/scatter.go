@@ -14,112 +14,17 @@ import (
 	"repro/witch"
 )
 
-// ShardPayload is the gob wire envelope for a /v1/shard window export.
-// Alongside the raw export it carries the exporter's hinted-handoff
-// ledger: for each pusher with batches parked in the exporter's hint
-// queues, the destination peers those hints are bound for. The gather
-// side uses this to prefer a hinter as the partition holder (its copy
-// is a superset — a hint implies the data is in its own journal and
-// store too) and to flag divergence when two reachable nodes both hold
-// hints for the same pusher.
-type ShardPayload struct {
-	Export *store.Export
-	Hinted map[string][]string // pusher id -> destination peers with pending hints
-}
-
 // ShardResult is one peer's leg of a scatter-gather query: either its
 // partitioned export for the requested window, or the error that made
-// this leg partial. Rev (delta legs only) identifies the reconstructed
-// view's content: equal (Peer, Rev) across scatters means an identical
-// export, which is what rendered-response caches key on.
+// this leg partial. Rev identifies the reconstructed view's content:
+// equal (Peer, Rev) across scatters means an identical export, which
+// is what rendered-response caches key on.
 type ShardResult struct {
 	Peer   string
 	Export *store.Export
 	Hinted map[string][]string // exporter's pending-hint ledger, by pusher
 	Rev    uint64
 	Err    error
-}
-
-// ScatterExports fans a window query out to every other peer's
-// /v1/shard and gathers the raw partitioned exports. Results come back
-// in peer order (sorted), one entry per peer, errors in place — the
-// caller merges the anonymous partitions from every reachable peer,
-// picks exactly one holder per pusher partition (dedup across
-// replicas), and reports the failures as the query's Incomplete set
-// rather than failing the query. rawWindow is passed through verbatim
-// (the caller already validated it against its own parser, which is
-// the same parser the peer will use).
-//
-// Scatter legs deliberately ignore the forwarding breakers: those
-// track the ingest path, and a peer refusing writes can still answer
-// reads. Each leg is bounded by QueryTimeout instead.
-func (r *Router) ScatterExports(ctx context.Context, rawWindow string) []ShardResult {
-	r.scatters.Add(1)
-	out := make([]ShardResult, len(r.others))
-	var wg sync.WaitGroup
-	for i, peer := range r.others {
-		wg.Add(1)
-		go func(i int, peer string) {
-			defer wg.Done()
-			pl, err := r.fetchShard(ctx, peer, rawWindow)
-			sr := ShardResult{Peer: peer, Err: err}
-			if pl != nil {
-				sr.Export = pl.Export
-				sr.Hinted = pl.Hinted
-			}
-			out[i] = sr
-		}(i, peer)
-	}
-	wg.Wait()
-	partial := false
-	for _, sr := range out {
-		if sr.Err != nil {
-			partial = true
-			if r.logf != nil {
-				r.logf("cluster: scatter leg %s failed: %v", sr.Peer, sr.Err)
-			}
-		}
-	}
-	if partial {
-		r.scatterPartials.Add(1)
-	}
-	return out
-}
-
-func (r *Router) fetchShard(ctx context.Context, peer, rawWindow string) (*ShardPayload, error) {
-	ctx, cancel := context.WithTimeout(ctx, r.queryTO)
-	defer cancel()
-	u := peer + "/v1/shard"
-	if rawWindow != "" {
-		u += "?window=" + url.QueryEscape(rawWindow)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set(RingHeader, r.ringHash)
-	sp := r.traceSpan(ctx, req, "scatter_leg", peer)
-	t0 := r.obs.Start()
-	defer func() {
-		r.obs.PeerSince("scatter", peer, t0)
-		sp.End()
-	}()
-	resp, err := r.client.Do(req)
-	if err != nil {
-		sp.Fail(err.Error())
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		sp.Fail(resp.Status)
-		return nil, fmt.Errorf("shard query: %s", resp.Status)
-	}
-	pl := new(ShardPayload)
-	if err := gob.NewDecoder(resp.Body).Decode(pl); err != nil {
-		sp.Fail(err.Error())
-		return nil, fmt.Errorf("decoding shard export: %w", err)
-	}
-	return pl, nil
 }
 
 // DigestEntry summarizes one pusher partition for anti-entropy: the

@@ -83,21 +83,20 @@ func (s *Server) forwardIngest(ctx context.Context, w http.ResponseWriter, r *ht
 	s.shedRequest(w, http.StatusServiceUnavailable, retry, "%v", lastErr)
 }
 
-// handleShard serves this node's partitioned export for a window — the
-// unit a peer's scatter-gather fetches — or, with ?pusher=, one
-// pusher's full transferable partition (bucket-structured history plus
-// its dedup window), the unit anti-entropy repair pulls. The window
-// export travels in a ShardPayload alongside this node's pending-hint
-// ledger, so the gathering side can prefer a hinter as a partition's
-// holder and spot diverged replicas. Always local by construction,
-// which is what keeps scatter legs from recursing.
+// handleShard serves /v1/shard, always from local state by
+// construction, which is what keeps scatter legs from recursing.
 //
-// POST is the v2 delta protocol: the body is a gob cluster.DeltaRequest
+// POST is the scatter unit: the body is a gob cluster.DeltaRequest
 // carrying the caller's last-seen version vector, and the reply a gob
-// ShardDelta — only the partitions whose epochs moved, plus tombstones,
-// or a full export when the vector is unusable (first contact, another
-// generation, another clock quantum). GET remains the full v1 export
-// for mid-upgrade peers and repair transfers.
+// ShardDelta — only the window export's partitions whose epochs moved,
+// plus tombstones, or a full export when the vector is unusable (first
+// contact, another generation, another clock quantum) — beside this
+// node's pending-hint ledger, so the gathering side can prefer a
+// hinter as a partition's holder and spot diverged replicas.
+//
+// GET ?pusher= serves one pusher's full transferable partition
+// (bucket-structured history plus its dedup window), the unit
+// anti-entropy repair pulls.
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
@@ -111,28 +110,15 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	if s.ringRejected(w, r) {
 		return
 	}
-	if id := r.URL.Query().Get("pusher"); id != "" {
-		pt := cluster.PartitionTransfer{Image: s.st.PartitionImage(id)}
-		pt.DedupMax, pt.DedupBits = s.ded.WindowOf(id)
-		w.Header().Set("Content-Type", "application/x-gob")
-		_ = gob.NewEncoder(w).Encode(&pt)
+	id := r.URL.Query().Get("pusher")
+	if id == "" {
+		httpError(w, http.StatusBadRequest, "GET /v1/shard needs ?pusher=")
 		return
 	}
-	window, err := queryWindow(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	pl := cluster.ShardPayload{Export: s.st.Export(window)}
-	if s.repl != nil {
-		pl.Hinted = s.repl.hints.hintedPushers()
-	}
+	pt := cluster.PartitionTransfer{Image: s.st.PartitionImage(id)}
+	pt.DedupMax, pt.DedupBits = s.ded.WindowOf(id)
 	w.Header().Set("Content-Type", "application/x-gob")
-	if err := gob.NewEncoder(w).Encode(&pl); err != nil {
-		// Too late for a status change; the torn body fails the peer's
-		// decode and the leg lands in its Incomplete set.
-		return
-	}
+	_ = gob.NewEncoder(w).Encode(&pt)
 }
 
 // handleShardDelta is the POST side of /v1/shard: diff this node's

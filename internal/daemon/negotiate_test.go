@@ -12,29 +12,29 @@ import (
 	"repro/witch"
 )
 
-// TestBinaryPusherFallsBackOnJSONOnlyDaemon: a binary-capable Pusher
-// talking to a daemon that does not know the binary content type (it
-// answers 415) must downgrade to JSON permanently — losing no profiles,
-// tripping no breaker, and counting exactly one fallback.
-func TestBinaryPusherFallsBackOnJSONOnlyDaemon(t *testing.T) {
+// TestBinaryPusherKeepsBinaryAfterRejection: a 400 is a verdict on one
+// body, not on the wire format. The rejected profile is retired as a
+// counted "rejected" drop — no retries, no breaker charge — and every
+// later post still carries the binary Content-Type.
+func TestBinaryPusherKeepsBinaryAfterRejection(t *testing.T) {
 	srv, _ := newTestServer(t, store.Config{})
-	var binaryPosts, jsonPosts atomic.Int64
-	// A pre-fast-path daemon: rejects the binary offer the way any
-	// server rejects an unknown media type, accepts JSON as always.
-	legacy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get("Content-Type") == witch.BinaryContentType {
-			binaryPosts.Add(1)
-			http.Error(w, "unsupported media type", http.StatusUnsupportedMediaType)
+	var posts, jsonPosts atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get("Content-Type") != witch.BinaryContentType {
+			jsonPosts.Add(1)
+		}
+		if posts.Add(1) == 1 {
+			http.Error(w, "bad body", http.StatusBadRequest)
 			return
 		}
-		jsonPosts.Add(1)
 		srv.Handler().ServeHTTP(w, r)
 	}))
-	defer legacy.Close()
+	defer ts.Close()
 
 	prof := testProfile(t, 1)
 	p, err := witch.NewPusher(witch.PusherOptions{
-		URL: legacy.URL, Queue: 8, Backoff: time.Millisecond, Encoding: "binary",
+		URL: ts.URL, Queue: 8, Backoff: time.Millisecond, Encoding: "binary",
+		Logf: func(string, ...any) {},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -48,23 +48,20 @@ func TestBinaryPusherFallsBackOnJSONOnlyDaemon(t *testing.T) {
 	p.Close()
 
 	st := p.Stats()
-	if st.Sent != n {
-		t.Fatalf("delivered %d/%d after fallback: %+v", st.Sent, n, st)
+	if st.Sent != n-1 || st.Dropped != 1 || st.DroppedByReason[witch.DropRejected] != 1 {
+		t.Fatalf("want %d sent and 1 rejected: %+v", n-1, st)
 	}
-	if st.EncodingFallbacks != 1 {
-		t.Fatalf("EncodingFallbacks = %d, want 1 (the downgrade latches)", st.EncodingFallbacks)
+	if st.Retries != 0 || st.BreakerTrips != 0 {
+		t.Fatalf("a rejection must not be retried or charge the breaker: %+v", st)
 	}
-	if st.BreakerTrips != 0 || st.Dropped != 0 {
-		t.Fatalf("negotiation must not trip the breaker or drop: %+v", st)
+	if got := posts.Load(); got != n {
+		t.Fatalf("daemon saw %d posts, want %d", got, n)
 	}
-	if got := binaryPosts.Load(); got != 1 {
-		t.Fatalf("binary offered %d times, want exactly 1 before latching JSON", got)
+	if got := jsonPosts.Load(); got != 0 {
+		t.Fatalf("%d posts fell back to JSON, want every post binary", got)
 	}
-	if got := jsonPosts.Load(); got != n {
-		t.Fatalf("JSON deliveries = %d, want %d", got, n)
-	}
-	if got := srv.st.Stats().Ingested; got != n {
-		t.Fatalf("daemon ingested %d, want %d", got, n)
+	if got := srv.st.Stats().Ingested; got != n-1 {
+		t.Fatalf("daemon ingested %d, want %d", got, n-1)
 	}
 }
 
@@ -91,7 +88,7 @@ func TestBinaryAndJSONIngestAgreeByteForByte(t *testing.T) {
 			}
 		}
 		p.Close()
-		if st := p.Stats(); st.Sent != uint64(len(profs)) || st.EncodingFallbacks != 0 {
+		if st := p.Stats(); st.Sent != uint64(len(profs)) {
 			t.Fatalf("%s pusher stats: %+v", enc, st)
 		}
 		resp, err := http.Get(ts.URL + "/v1/profile?tool=" + tool)

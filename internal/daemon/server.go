@@ -186,7 +186,8 @@ func (s *Server) Cluster() *cluster.Router { return s.cl }
 //	POST /v1/replicate one keyed batch from a replica coordinator (journal-before-ack, no re-fanout)
 //	GET  /v1/top       ranked merged pairs (tool, window, program, n) — fleet-wide with a cluster
 //	GET  /v1/profile   full merged profile in the WriteJSON schema — fleet-wide with a cluster
-//	GET  /v1/shard     this node's partitioned export (gob), the scatter/repair unit (?pusher= for one partition)
+//	POST /v1/shard     this node's window export as a delta against the caller's version vector (gob), the scatter unit
+//	GET  /v1/shard     ?pusher= one pusher's transferable partition (gob), the repair unit
 //	GET  /v1/digest    per-pusher (maxSeq, checksum) anti-entropy digest
 //	GET  /v1/healthz   fleet health: every peer's row plus the merged rollup
 //	GET  /v1/trace/{id} cross-node span tree for one trace (?scope=local for this node's spans only)

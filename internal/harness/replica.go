@@ -389,12 +389,17 @@ func replicaPushers(cns []*clusterNode, base *witch.Profile, pushers int, root s
 			}
 			cp.body, cp.ctype = buf.Bytes(), "application/json"
 		}
-		// Re-draw the durable identity until node i%3 owns it.
+		// Re-draw the durable identity until node i%3 owns it and the
+		// entry node is outside its replica set: only then is every
+		// batch a pure forwarding hop, and only a non-member entry node
+		// reroutes past a dead owner (a member entry coordinates as the
+		// promoted follower instead).
 		for try := 0; ; try++ {
 			if err := cp.open(true); err != nil {
 				return nil, err
 			}
-			if cns[0].cl.Owner(cp.p.ID()) == cns[owner].url {
+			set := cns[0].cl.ReplicaSet(cp.p.ID())
+			if set[0] == cns[owner].url && set[1] != cns[entry].url {
 				break
 			}
 			cp.p.Close()

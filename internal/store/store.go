@@ -23,6 +23,7 @@ package store
 import (
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -645,8 +646,8 @@ type bucketImage struct {
 // Snapshot trailer: an 8-byte suffix [CRC-32C of everything before it]
 // [magic], so a truncated or bit-flipped snapshot is detected at load
 // time instead of decoding into silently wrong aggregates (gob detects
-// truncation but not payload corruption). The magic discriminates
-// trailer-less legacy snapshots, which are accepted unverified.
+// truncation but not payload corruption). Restore requires it: a
+// snapshot without the magic is rejected, never loaded unverified.
 const snapTrailerMagic = 0x57534e31 // "WSN1"
 
 var snapCRCTable = crc32.MakeTable(crc32.Castagnoli)
@@ -729,9 +730,9 @@ func (s *Store) Snapshot(w io.Writer, anchor uint64, extra []byte) error {
 // Restore replaces the store's state with a snapshot, returning the
 // caller anchor and extra blob it was written with. Meant for a freshly
 // built store during recovery, before serving. The CRC-32C trailer is
-// verified when present (legacy trailer-less snapshots are accepted);
-// a mismatch returns an error so recovery can fall back to the
-// next-newest snapshot instead of loading corrupt aggregates. Buckets
+// required and verified; a missing trailer or a mismatch returns an
+// error so recovery can fall back to the next-newest snapshot instead
+// of loading corrupt aggregates. Buckets
 // that no longer fit the ring — a changed window width, or two buckets
 // hashing to one slot after a long outage — are folded into the rollup
 // rather than dropped, so all-time queries stay exact under any
@@ -741,13 +742,14 @@ func (s *Store) Restore(r io.Reader) (anchor uint64, extra []byte, err error) {
 	if err != nil {
 		return 0, nil, fmt.Errorf("store: reading snapshot: %w", err)
 	}
-	if n := len(data); n >= 8 && binary.BigEndian.Uint32(data[n-4:]) == snapTrailerMagic {
-		want := binary.BigEndian.Uint32(data[n-8 : n-4])
-		body := data[:n-8]
-		if got := crc32.Checksum(body, snapCRCTable); got != want {
-			return 0, nil, fmt.Errorf("store: snapshot checksum mismatch: crc32c %08x, trailer says %08x", got, want)
-		}
-		data = body
+	n := len(data)
+	if n < 8 || binary.BigEndian.Uint32(data[n-4:]) != snapTrailerMagic {
+		return 0, nil, errors.New("store: snapshot has no checksum trailer")
+	}
+	want := binary.BigEndian.Uint32(data[n-8 : n-4])
+	data = data[:n-8]
+	if got := crc32.Checksum(data, snapCRCTable); got != want {
+		return 0, nil, fmt.Errorf("store: snapshot checksum mismatch: crc32c %08x, trailer says %08x", got, want)
 	}
 	var img snapshotFile
 	if err := gob.NewDecoder(byteReader(data)).Decode(&img); err != nil {

@@ -354,7 +354,9 @@ func TestSnapshotRacesEviction(t *testing.T) {
 // TestSnapshotChecksumDetectsCorruption: every snapshot carries a
 // CRC-32C trailer; a single flipped byte anywhere in the payload fails
 // the restore loudly (the recovery layer then falls back to an older
-// snapshot), while a trailer-less legacy snapshot still loads.
+// snapshot), and so does a snapshot whose trailer is missing or whose
+// magic is damaged — restore fails closed, never loading unverified
+// bytes.
 func TestSnapshotChecksumDetectsCorruption(t *testing.T) {
 	clk := newFakeClock()
 	s := New(Config{Window: time.Minute, Buckets: 4, Now: clk.now})
@@ -388,18 +390,31 @@ func TestSnapshotChecksumDetectsCorruption(t *testing.T) {
 	if _, _, err := New(Config{}).Restore(bytes.NewReader(bad)); err == nil {
 		t.Fatal("corrupt trailer restored silently")
 	}
-	// Legacy snapshot (no trailer): accepted, data intact.
-	legacy := snap[:len(snap)-8]
-	r := New(Config{Window: time.Minute, Buckets: 4, Now: clk.now})
-	anchor, extra, err := r.Restore(bytes.NewReader(legacy))
-	if err != nil {
-		t.Fatalf("legacy trailer-less snapshot rejected: %v", err)
+	// No trailer: rejected, not loaded unverified.
+	if _, _, err := New(Config{}).Restore(bytes.NewReader(snap[:len(snap)-8])); err == nil {
+		t.Fatal("trailer-less snapshot restored unverified")
 	}
-	if anchor != 7 || string(extra) != "blob" {
-		t.Fatalf("legacy restore drifted: anchor=%d extra=%q", anchor, extra)
+	// Body corrupted along with the trailer magic: the damaged magic
+	// must not turn the checksum off. The flip is one gob still decodes
+	// (silently wrong aggregates), so only the trailer can catch it.
+	body := snap[:len(snap)-8]
+	pos := -1
+	for i := len(body) / 2; i < len(body) && pos < 0; i++ {
+		b := append([]byte(nil), body...)
+		b[i] ^= 0x01
+		var img snapshotFile
+		if gob.NewDecoder(bytes.NewReader(b)).Decode(&img) == nil {
+			pos = i
+		}
 	}
-	if got := r.Query(0).Profiles(); got != 6 {
-		t.Fatalf("legacy restore lost profiles: %d", got)
+	if pos < 0 {
+		t.Fatal("no gob-decodable corruption found")
+	}
+	bad = append([]byte(nil), snap...)
+	bad[pos] ^= 0x01
+	bad[len(bad)-1] ^= 0x01
+	if _, _, err := New(Config{}).Restore(bytes.NewReader(bad)); err == nil {
+		t.Fatal("corrupt body with a corrupt trailer magic restored silently")
 	}
 }
 

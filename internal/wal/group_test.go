@@ -13,12 +13,23 @@ import (
 // TestGroupCommitConcurrentAppends: many goroutines appending through
 // the group committer must each get a distinct LSN, the LSN space must
 // stay dense, and every acked payload must replay under exactly the LSN
-// its Append returned — the same contract the per-append path gives.
+// its Append returned — the same contract the per-append path gives,
+// which runs here too (each caller committing its own gang of one).
 func TestGroupCommitConcurrentAppends(t *testing.T) {
+	type mode struct {
+		name string
+		opts Options
+	}
+	cases := []mode{{name: "per-append"}}
 	for _, delay := range []time.Duration{0, 200 * time.Microsecond} {
-		t.Run(fmt.Sprintf("delay=%v", delay), func(t *testing.T) {
+		cases = append(cases, mode{fmt.Sprintf("delay=%v", delay), Options{GroupCommit: true, MaxCommitDelay: delay}})
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			j, err := Open(dir, Options{GroupCommit: true, MaxCommitDelay: delay, SegmentBytes: 4 << 10})
+			opts := tc.opts
+			opts.SegmentBytes = 4 << 10
+			j, err := Open(dir, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -173,9 +173,9 @@ type Journal struct {
 	cbuf        []byte
 }
 
-// waiter carries one framed record from an Append caller to the group
-// committer and the resulting LSN (or error) back. The done channel has
-// capacity 1 so the committer never blocks on a slow waiter.
+// waiter carries one framed record from an Append caller to
+// commitBatch and the resulting LSN (or error) back. The done channel
+// has capacity 1 so the committer never blocks on a slow waiter.
 type waiter struct {
 	frame []byte
 	lsn   uint64
@@ -377,6 +377,11 @@ func (j *Journal) openSegment() error {
 // rolled back — and the caller must not acknowledge the payload. An
 // ErrFailed (possibly wrapped) means the journal is out of service
 // until restart.
+//
+// The record is framed in the caller's goroutine (CRC and copy are the
+// parallelizable work). With GroupCommit it then joins the committer's
+// next gang; without, the caller commits it as a gang of one. Either
+// way commitBatch does the write, fsync and rollback.
 func (j *Journal) Append(payload []byte) (uint64, error) {
 	if len(payload) == 0 {
 		// An empty frame is indistinguishable from a zero-filled hole on
@@ -387,57 +392,33 @@ func (j *Journal) Append(payload []byte) (uint64, error) {
 	if j.opts.ObserveCommit != nil {
 		t0 = time.Now()
 	}
+	w := waiterPool.Get().(*waiter)
+	w.lsn, w.err = 0, nil
+	w.frame = appendFrame(w.frame[:0], payload)
 	if j.opts.GroupCommit {
-		lsn, err := j.appendGrouped(payload)
-		if err == nil && j.opts.ObserveCommit != nil {
-			j.opts.ObserveCommit(time.Since(t0))
+		// The read-lock fences the send against Close: Close flips
+		// closing and closes commitCh under the write lock, so a send
+		// that got past this check is guaranteed to land before the
+		// close.
+		j.closeMu.RLock()
+		if j.closing {
+			j.closeMu.RUnlock()
+			waiterPool.Put(w)
+			return 0, ErrFailed
 		}
-		return lsn, err
+		j.commitCh <- w
+		j.closeMu.RUnlock()
+	} else {
+		gang := [1]*waiter{w}
+		j.commitBatch(gang[:])
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.failed {
-		return 0, ErrFailed
-	}
-	if j.seg.size >= j.opts.SegmentBytes {
-		if err := j.rotateLocked(); err != nil {
-			return 0, err
-		}
-	}
-	frame := appendFrame(make([]byte, 0, frameOverhead+len(payload)), payload)
-
-	preSize := j.seg.size
-	n, werr := j.seamWrite(frame)
-	if werr == nil && !j.opts.NoSync {
-		werr = j.seamSync()
-	}
-	if werr != nil {
-		// Roll the partial frame back so the tail stays a complete
-		// record; if that fails too the tail is unknowable — declare the
-		// journal failed and let the next Open truncate the tear.
-		if errors.Is(werr, errTorn) {
-			j.fail()
-			return 0, fmt.Errorf("wal: append tore mid-write: %w", ErrFailed)
-		}
-		if terr := j.f.Truncate(preSize); terr != nil {
-			j.fail()
-			return 0, fmt.Errorf("wal: append failed (%v) and rollback failed (%v): %w", werr, terr, ErrFailed)
-		}
-		return 0, fmt.Errorf("wal: append: %w", werr)
-	}
-	j.seg.size = preSize + int64(n)
-	lsn := j.nextLSN
-	j.nextLSN++
-	j.seg.lastLSN = lsn
-	j.appends++
-	j.commits++
-	if j.opts.NoSync {
-		j.unsynced += int64(n)
-	}
-	if j.opts.ObserveCommit != nil {
+	<-w.done
+	lsn, err := w.lsn, w.err
+	waiterPool.Put(w)
+	if err == nil && j.opts.ObserveCommit != nil {
 		j.opts.ObserveCommit(time.Since(t0))
 	}
-	return lsn, nil
+	return lsn, err
 }
 
 // appendFrame appends one framed record ([len][crc][payload]) to dst.
@@ -447,30 +428,6 @@ func appendFrame(dst, payload []byte) []byte {
 	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, castagnoli))
 	dst = append(dst, hdr[:]...)
 	return append(dst, payload...)
-}
-
-// appendGrouped frames the payload in the caller's goroutine (CRC and
-// copy are the parallelizable work), hands it to the committer, and
-// blocks until the gang containing it commits or rolls back.
-func (j *Journal) appendGrouped(payload []byte) (uint64, error) {
-	w := waiterPool.Get().(*waiter)
-	w.lsn, w.err = 0, nil
-	w.frame = appendFrame(w.frame[:0], payload)
-	// The read-lock fences the send against Close: Close flips closing
-	// and closes commitCh under the write lock, so a send that got past
-	// this check is guaranteed to land before the close.
-	j.closeMu.RLock()
-	if j.closing {
-		j.closeMu.RUnlock()
-		waiterPool.Put(w)
-		return 0, ErrFailed
-	}
-	j.commitCh <- w
-	j.closeMu.RUnlock()
-	<-w.done
-	lsn, err := w.lsn, w.err
-	waiterPool.Put(w)
-	return lsn, err
 }
 
 // committer is the group-commit loop: take the first waiter of a gang,
@@ -536,7 +493,9 @@ func (j *Journal) committer() {
 }
 
 // commitBatch lands a gang of pre-framed records with a single write and
-// a single fsync, then acks every waiter — or nacks every waiter.
+// a single fsync, then acks every waiter — or nacks every waiter. It is
+// the journal's only commit routine: the group committer calls it per
+// gang, a non-group Append per record.
 // LSNs are positional within a segment (recovery re-derives them from
 // frame order), so they are assigned only after the gang is durable: a
 // rolled-back gang consumes no LSNs.
@@ -566,15 +525,21 @@ func (j *Journal) commitBatch(batch []*waiter) {
 		werr = j.seamSync()
 	}
 	if werr != nil {
-		// A gang rollback must also remove any complete frames that
-		// landed ahead of the failure point: none of them was
-		// acknowledged, and leaving them durable would make recovery
-		// replay batches whose pushers are about to retry them. This is
-		// why — unlike the per-append path — truncation is attempted even
-		// for a torn write.
-		terr := j.f.Truncate(preSize)
+		// Roll the partial gang back so the tail stays a complete
+		// record. The group committer does so even for a torn write: a
+		// gang's complete frames ahead of the tear belong to other
+		// callers, none was acknowledged, and leaving them durable would
+		// make recovery replay batches whose pushers are about to retry
+		// them. Without group commit the caller is the writer the torn
+		// fault models as dying mid-write, so its tail stays as that
+		// crash leaves it, for the next Open to cut and report.
+		torn := errors.Is(werr, errTorn)
+		var terr error
+		if !torn || j.opts.GroupCommit {
+			terr = j.f.Truncate(preSize)
+		}
 		switch {
-		case errors.Is(werr, errTorn):
+		case torn:
 			j.fail()
 			j.mu.Unlock()
 			finish(batch, 0, fmt.Errorf("wal: append tore mid-write: %w", ErrFailed))
@@ -639,11 +604,10 @@ func (j *Journal) seamWrite(frame []byte) (int, error) {
 // errNoSpace is the injected analogue of ENOSPC.
 var errNoSpace = errors.New("no space left on device")
 
-// seamSync is the fault-injectable fsync path. Both commit flavours
-// (per-append and group) sync through here, so the SyncDelay disk
-// model is applied exactly once per physical sync, while the journal
-// lock is held — a slower modeled disk serializes commits just like a
-// slower real one.
+// seamSync is the fault-injectable fsync path. Every commit syncs
+// through here, so the SyncDelay disk model is applied exactly once per
+// physical sync, while the journal lock is held — a slower modeled disk
+// serializes commits just like a slower real one.
 func (j *Journal) seamSync() error {
 	if j.opts.Injector.Should(fault.SyncFail) {
 		return fmt.Errorf("fsync %s: input/output error", j.seg.path)

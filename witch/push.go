@@ -23,11 +23,18 @@ const (
 	// than the workload produces profiles, or breaker open). With a
 	// spool configured this means the spill channel was full too.
 	DropQueueFull = "queue_full"
-	// DropClosed: Push after Close.
+	// DropClosed: Push after Close, or — without a spool — a profile
+	// Close found undelivered (mid-backoff, or queued behind a failed
+	// final delivery).
 	DropClosed = "closed"
 	// DropRetries: every delivery attempt failed (memory-only pushers;
 	// a spooled pusher parks the profile on disk instead).
 	DropRetries = "retries_exhausted"
+	// DropRejected: the daemon answered a permanent verdict — any 4xx
+	// except 408, 409 and 429 — that resending the same bytes cannot
+	// change. The profile or spool entry is retired at once, with no
+	// retries and no breaker charge, spooled or not.
+	DropRejected = "rejected"
 	// DropEncode: the profile failed to serialize.
 	DropEncode = "encode_error"
 	// DropBreakerOpen: the pusher was closing while the circuit breaker
@@ -98,11 +105,7 @@ type PusherOptions struct {
 	// Defaults to log.Printf; use a no-op func to silence.
 	Logf func(format string, args ...any)
 	// Encoding selects the wire format: "json" (the default) or
-	// "binary", the compact encoding witchd negotiates by Content-Type.
-	// A binary pusher talking to a daemon that does not know the format
-	// (415 or 400 responses) logs once, counts the event, and falls back
-	// to JSON for the rest of its lifetime — delivery never fails over a
-	// format preference.
+	// "binary", the compact encoding witchd recognizes by Content-Type.
 	Encoding string
 	// SpoolDir enables the durable spool: a disk-backed overflow queue
 	// (internal/wal segments) that catches profiles the daemon cannot
@@ -160,9 +163,6 @@ type PusherStats struct {
 	// Failovers counts delivery-target rotations (only with
 	// PusherOptions.URLs): each failed attempt moves to the next peer.
 	Failovers uint64
-	// EncodingFallbacks counts binary-to-JSON downgrades (0 or 1: the
-	// fallback latches).
-	EncodingFallbacks uint64
 	// Spooled counts profiles parked in the durable spool; Replayed
 	// counts spool entries later delivered. SpoolPending is the durable
 	// backlog right now — at quiescence, Enqueued = Sent + Dropped +
@@ -264,14 +264,12 @@ type Pusher struct {
 	hist      *obs.Histogram
 	lastTrace atomic.Pointer[string]
 
-	// Encoder state, touched only by the sender goroutine: binary flips
-	// to false (permanently) when the daemon rejects the format, and the
-	// buffers are reused across deliveries so a long-lived pusher
-	// encodes with zero steady-state allocations.
-	binary    bool
-	encBuf    []byte
-	jsonBuf   bytes.Buffer
-	fallbacks atomic.Uint64
+	// Encoder state, touched only by the sender goroutine: the buffers
+	// are reused across deliveries so a long-lived pusher encodes with
+	// zero steady-state allocations.
+	binary  bool
+	encBuf  []byte
+	jsonBuf bytes.Buffer
 }
 
 // NewPusher starts a pusher's background sender. With SpoolDir set it
@@ -440,23 +438,16 @@ func (p *Pusher) Close() error {
 	}
 	close(p.quit)
 	p.wg.Wait()
-	// A Push racing Close can pass the closed check and enqueue after
-	// the sender's final drain; sweep those stragglers so every profile
-	// Push accepted is either sent, spooled, or counted dropped.
-	if p.sp != nil {
-		p.sweepAllToSpool()
-		err := p.sp.close()
-		p.syncSpoolStats()
-		return err
+	// Park what the sender's final drain left behind, including
+	// stragglers from a Push racing Close past the closed check, so
+	// every profile Push accepted is sent, spooled, or counted dropped.
+	p.parkAll()
+	if p.sp == nil {
+		return nil
 	}
-	for {
-		select {
-		case <-p.queue:
-			p.drop(DropClosed)
-		default:
-			return nil
-		}
-	}
+	err := p.sp.close()
+	p.syncSpoolStats()
+	return err
 }
 
 // Abort is Close's kill -9 twin, for crash tests and the chaos
@@ -485,19 +476,18 @@ func (p *Pusher) Stats() PusherStats {
 	}
 	p.reasonMu.Unlock()
 	st := PusherStats{
-		Enqueued:          p.enqueued.Load(),
-		Sent:              p.sent.Load(),
-		Dropped:           p.dropped.Load(),
-		DroppedByReason:   byReason,
-		Retries:           p.retries.Load(),
-		Errors:            p.errors.Load(),
-		BreakerTrips:      p.trips.Load(),
-		Failovers:         p.failovers.Load(),
-		EncodingFallbacks: p.fallbacks.Load(),
-		Spooled:           p.spooled.Load(),
-		Replayed:          p.replayed.Load(),
-		SpoolPending:      p.spoolPending.Load(),
-		SpoolEvicted:      p.spoolEvicted.Load(),
+		Enqueued:        p.enqueued.Load(),
+		Sent:            p.sent.Load(),
+		Dropped:         p.dropped.Load(),
+		DroppedByReason: byReason,
+		Retries:         p.retries.Load(),
+		Errors:          p.errors.Load(),
+		BreakerTrips:    p.trips.Load(),
+		Failovers:       p.failovers.Load(),
+		Spooled:         p.spooled.Load(),
+		Replayed:        p.replayed.Load(),
+		SpoolPending:    p.spoolPending.Load(),
+		SpoolEvicted:    p.spoolEvicted.Load(),
 	}
 	if p.hist != nil {
 		snap := p.hist.Snapshot()
@@ -534,48 +524,23 @@ func (p *Pusher) allocSeq() uint64 {
 	return p.nextSeq
 }
 
-// sender is the background delivery loop.
+// sender is the pusher's one delivery loop. Priorities per iteration:
+// (1) get spilled profiles onto disk — the spill channel is small and
+// Push drops when it is full; (2) drain the spool backlog oldest-first
+// so delivery order tracks sequence order; (3) only with an empty
+// spool, deliver fresh profiles directly. While the breaker is open
+// the spool is the wait room: arrivals go to disk and the loop parks
+// until the cooldown elapses. Without a spool, (1) and (2) never fire
+// (the spill channel is nil and nothing is pending), so every profile
+// takes path (3).
 func (p *Pusher) sender() {
 	defer p.wg.Done()
-	if p.sp != nil {
-		p.spoolSender()
-		return
-	}
-	for {
-		select {
-		case prof := <-p.queue:
-			p.deliver(prof)
-		case <-p.quit:
-			if p.aborted.Load() {
-				return
-			}
-			// Drain whatever Push enqueued before Close, then exit.
-			for {
-				select {
-				case prof := <-p.queue:
-					p.deliver(prof)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-// spoolSender is the delivery loop of a spooled pusher. Priorities per
-// iteration: (1) get spilled profiles onto disk — the spill channel is
-// small and Push drops when it is full; (2) drain the spool backlog
-// oldest-first so delivery order tracks sequence order; (3) only with
-// an empty spool, deliver fresh profiles directly. While the breaker
-// is open the spool is the wait room: arrivals go to disk and the loop
-// parks until the cooldown elapses.
-func (p *Pusher) spoolSender() {
 	for {
 		p.sweepSpill()
 		if p.sp.pending() > 0 {
 			if time.Until(p.brOpenTill) > 0 {
 				if !p.parkOpenBreaker() {
-					p.finalSpool()
+					p.final()
 					return
 				}
 				continue
@@ -593,7 +558,7 @@ func (p *Pusher) spoolSender() {
 					quit = !p.pause(p.jitterFull(p.opts.Backoff))
 				}
 				if quit {
-					p.finalSpool()
+					p.final()
 					return
 				}
 			}
@@ -603,9 +568,9 @@ func (p *Pusher) spoolSender() {
 		case prof := <-p.spill:
 			p.spoolProfile(prof)
 		case prof := <-p.queue:
-			p.deliverOrSpool(prof)
+			p.deliverOrPark(prof)
 		case <-p.quit:
-			p.finalSpool()
+			p.final()
 			return
 		}
 	}
@@ -659,35 +624,46 @@ func (p *Pusher) sweepSpill() {
 	}
 }
 
-// sweepAllToSpool parks everything still in memory on disk.
-func (p *Pusher) sweepAllToSpool() {
+// parkAll parks everything still in memory (see park).
+func (p *Pusher) parkAll() {
 	for {
 		select {
 		case prof := <-p.spill:
-			p.spoolProfile(prof)
+			p.park(0, prof, DropClosed)
 		case prof := <-p.queue:
-			p.spoolProfile(prof)
+			p.park(0, prof, DropClosed)
 		default:
 			return
 		}
 	}
 }
 
-// finalSpool is the spooled pusher's shutdown path: capture everything
-// still in memory durably, then best-effort drain until the spool is
-// empty, the daemon sheds, or an attempt fails terminally. Whatever
-// remains is pending on disk for the next incarnation. After Abort,
-// nothing runs — that is the point.
-func (p *Pusher) finalSpool() {
+// final is the shutdown path: drain the spool backlog and then the
+// queue while the daemon takes them, stopping at the first delivery
+// that fails, the daemon shedding, or a spool error. Close parks
+// whatever remains — pending on disk for the next incarnation, or
+// counted dropped without a spool. After Abort, nothing runs — that is
+// the point.
+func (p *Pusher) final() {
 	if p.aborted.Load() {
 		return
 	}
-	p.sweepAllToSpool()
-	for p.sp.pending() > 0 && time.Until(p.brOpenTill) <= 0 {
-		if !p.drainChunk() {
+	for {
+		p.sweepSpill()
+		if p.sp.pending() > 0 {
+			if time.Until(p.brOpenTill) > 0 || !p.drainChunk() {
+				return
+			}
+			continue
+		}
+		select {
+		case prof := <-p.queue:
+			if !p.deliverOrPark(prof) {
+				return
+			}
+		default:
 			return
 		}
-		p.sweepAllToSpool()
 	}
 }
 
@@ -707,6 +683,20 @@ func (p *Pusher) spoolEncoded(seq uint64, prof *Profile) {
 		return
 	}
 	p.spoolBody(seq, body)
+}
+
+// park sets aside a profile the daemon cannot take right now. With a
+// spool it goes to disk under seq (0 issues a fresh one) for replay;
+// without one it is a drop counted under reason.
+func (p *Pusher) park(seq uint64, prof *Profile, reason string) {
+	if p.sp == nil {
+		p.drop(reason)
+		return
+	}
+	if seq == 0 {
+		seq = p.allocSeq()
+	}
+	p.spoolEncoded(seq, prof)
 }
 
 // spoolBody parks encoded bytes, counting any eviction the disk bound
@@ -756,100 +746,58 @@ func (p *Pusher) drainChunk() bool {
 		return true
 	}
 	for _, e := range entries {
-		raw := e.body
-		body, ctype := raw, "application/json"
-		if IsBinaryProfile(raw) {
-			if p.binary {
-				ctype = BinaryContentType
-			} else {
-				// Spooled before the JSON fallback latched; transcode.
-				var terr error
-				if body, ctype, terr = p.transcode(raw); terr != nil {
-					p.poisonEntry(e, terr)
-					continue
-				}
-			}
+		ctype := "application/json"
+		if IsBinaryProfile(e.body) {
+			ctype = BinaryContentType
 		}
-		switch p.trySend(body, ctype, e.seq, func() ([]byte, string, error) { return p.transcode(raw) }) {
+		switch p.trySend(e.body, ctype, e.seq) {
 		case sendOK:
 			p.replayed.Add(1)
-			if err := p.sp.ack(e.lsn); err != nil {
-				p.errors.Add(1)
-				p.opts.Logf("witch: pusher to %s: spool ack failed: %v", p.url, err)
-				p.syncSpoolStats()
-				return false
-			}
-			p.syncSpoolStats()
-		case sendBad:
-			p.poisonEntry(e, nil)
-		case sendBusy, sendQuit:
+		case sendRejected:
+			// Retire the entry so it cannot wedge the backlog.
+			p.drop(DropRejected)
+		default:
 			return false
 		}
+		if err := p.sp.ack(e.lsn); err != nil {
+			p.errors.Add(1)
+			p.opts.Logf("witch: pusher to %s: spool ack failed: %v", p.url, err)
+			p.syncSpoolStats()
+			return false
+		}
+		p.syncSpoolStats()
 	}
 	return true
 }
 
-// poisonEntry drops an undeliverable-by-content spool entry and
-// advances the cursor past it so it cannot wedge the backlog.
-func (p *Pusher) poisonEntry(e spoolEntry, err error) {
-	p.errors.Add(1)
-	p.drop(DropEncode)
-	if err != nil {
-		p.opts.Logf("witch: pusher to %s: dropping undecodable spool entry (lsn %d): %v", p.url, e.lsn, err)
-	}
-	if aerr := p.sp.ack(e.lsn); aerr != nil {
-		p.opts.Logf("witch: pusher to %s: spool ack failed: %v", p.url, aerr)
-	}
-	p.syncSpoolStats()
-}
-
-// deliverOrSpool handles a fresh profile when the spool backlog is
-// empty: deliver now if the breaker allows, otherwise park on disk.
-// A delivery that fails terminally parks instead of dropping — with a
-// spool, "retries exhausted" means "not now", not "never".
-func (p *Pusher) deliverOrSpool(prof *Profile) {
+// deliverOrPark handles a fresh profile when the spool backlog is
+// empty: deliver it now, or park it when the breaker holds deliveries
+// back or every attempt fails — with a spool, "retries exhausted"
+// means "not now", not "never". It reports false when the profile was
+// parked, so a closing pusher stops trying.
+func (p *Pusher) deliverOrPark(prof *Profile) bool {
 	seq := p.allocSeq()
-	if time.Until(p.brOpenTill) > 0 {
-		p.spoolEncoded(seq, prof)
-		return
+	if p.breakerHeld() {
+		p.park(seq, prof, DropBreakerOpen)
+		return false
 	}
 	body, ctype, err := p.encode(prof)
 	if err != nil {
 		p.errors.Add(1)
 		p.drop(DropEncode)
-		return
+		return true
 	}
-	switch p.trySend(body, ctype, seq, func() ([]byte, string, error) { return p.encode(prof) }) {
+	switch res := p.trySend(body, ctype, seq); res {
 	case sendOK:
-	case sendBad:
-		p.errors.Add(1)
-		p.drop(DropEncode)
-	case sendBusy, sendQuit:
+	case sendRejected:
+		p.drop(DropRejected)
+	default:
 		// The daemon may have processed an attempt whose ack was lost;
 		// spooling under the same sequence keeps the retry dedupable.
-		p.spoolEncoded(seq, prof)
+		p.park(seq, prof, parkReason[res])
+		return false
 	}
-}
-
-// transcode rewrites a spooled binary body as JSON after the daemon
-// rejected the binary format.
-func (p *Pusher) transcode(body []byte) ([]byte, string, error) {
-	if !IsBinaryProfile(body) {
-		return body, "application/json", nil
-	}
-	var dec BatchDecoder
-	profs, err := dec.Decode(body)
-	if err != nil {
-		return nil, "", err
-	}
-	if len(profs) != 1 {
-		return nil, "", fmt.Errorf("witch: spool entry holds %d profiles, want 1", len(profs))
-	}
-	var buf bytes.Buffer
-	if err := profs[0].WriteJSONCompact(&buf); err != nil {
-		return nil, "", err
-	}
-	return buf.Bytes(), "application/json", nil
+	return true
 }
 
 // sendResult is one trySend outcome.
@@ -858,77 +806,82 @@ type sendResult int
 const (
 	// sendOK: delivered and acked.
 	sendOK sendResult = iota
-	// sendBusy: breaker open or retries exhausted — park the profile in
-	// the spool (it is not dropped).
-	sendBusy
+	// sendRejected: the daemon gave a permanent verdict (see
+	// permanentStatus); resending the same bytes cannot succeed.
+	sendRejected
+	// sendHeld: the breaker opened and holds deliveries back.
+	sendHeld
+	// sendExhausted: every attempt failed.
+	sendExhausted
 	// sendQuit: the pusher began closing mid-backoff.
 	sendQuit
-	// sendBad: the body cannot be (re-)encoded; the entry is poison.
-	sendBad
 )
 
-// trySend attempts delivery with bounded, full-jittered retries. It
-// never blocks on an open breaker — the spool is the wait room — and
-// charges the breaker exactly like the memory-only path does. reenc
-// re-serializes the body after a binary→JSON format fallback.
-func (p *Pusher) trySend(body []byte, ctype string, seq uint64, reenc func() ([]byte, string, error)) sendResult {
+// parkReason is the drop reason a pusher without a spool counts for
+// each undelivered outcome.
+var parkReason = [...]string{sendHeld: DropBreakerOpen, sendExhausted: DropRetries, sendQuit: DropClosed}
+
+// trySend attempts delivery with bounded, full-jittered retries. A
+// permanent verdict ends it at once, uncharged to the breaker; every
+// other failure charges the breaker, and once it opens the attempt
+// ends or waits per breakerHeld.
+func (p *Pusher) trySend(body []byte, ctype string, seq uint64) sendResult {
 	backoff := p.opts.Backoff
 	for attempt := 0; ; attempt++ {
-		if time.Until(p.brOpenTill) > 0 {
-			return sendBusy
-		}
 		retryAfter, status, ok := p.post(body, ctype, seq)
 		if ok {
 			p.recovered()
 			p.breakerSuccess()
 			return sendOK
 		}
-		if p.binary && (status == http.StatusUnsupportedMediaType || status == http.StatusBadRequest) {
-			p.binary = false
-			p.fallbacks.Add(1)
-			p.opts.Logf("witch: pusher to %s: daemon rejected binary encoding (HTTP %d), falling back to JSON", p.url, status)
-			var err error
-			if body, ctype, err = reenc(); err != nil {
-				return sendBad
-			}
-			attempt--
-			continue
-		}
 		p.errors.Add(1)
+		if permanentStatus(status) {
+			return sendRejected
+		}
 		p.breakerFailure(retryAfter)
 		if attempt >= p.opts.Retries {
-			return sendBusy
+			return sendExhausted
 		}
-		if time.Until(p.brOpenTill) > 0 {
-			return sendBusy
+		if p.breakerHeld() {
+			return sendHeld
 		}
 		p.retries.Add(1)
-		select {
-		case <-time.After(p.jitterFull(backoff)):
-		case <-p.quit:
+		if !p.pause(p.jitterFull(backoff)) {
 			return sendQuit
 		}
 		backoff *= 2
 	}
 }
 
-// breakerWait blocks while the breaker is open. It returns false when
-// the pusher is closing and the open interval has not elapsed — the
-// caller abandons the profile rather than out-waiting a daemon that
-// said stop.
-func (p *Pusher) breakerWait() bool {
+// permanentStatus reports whether an ingest answer is a verdict that
+// resending the identical bytes cannot change: any 4xx except 408 (a
+// timeout, not a verdict), 409 (ring skew heals) and 429 (overload is
+// retryable by definition) — the rule cluster.PeerDownError.Permanent
+// applies between peers. Transport failures (status 0) and 5xx are
+// never permanent.
+func permanentStatus(status int) bool {
+	switch status {
+	case http.StatusRequestTimeout, http.StatusConflict, http.StatusTooManyRequests:
+		return false
+	}
+	return status >= 400 && status < 500
+}
+
+// breakerHeld reports whether an open breaker holds deliveries back.
+// A spooled pusher never waits — the spool is the wait room. Without a
+// spool there is nowhere to park, so the interval is waited out, and
+// the breaker holds only if the pusher began closing first: the
+// profile is abandoned rather than out-waiting a daemon that said stop.
+func (p *Pusher) breakerHeld() bool {
 	wait := time.Until(p.brOpenTill)
 	if wait <= 0 {
+		return false
+	}
+	if p.sp != nil {
 		return true
 	}
-	select {
-	case <-time.After(wait):
-		return true
-	case <-p.quit:
-		// Closing mid-cooldown: if the cooldown has still not elapsed,
-		// give up instead of sleeping out the daemon's Retry-After.
-		return time.Until(p.brOpenTill) <= 0
-	}
+	p.pause(wait)
+	return time.Until(p.brOpenTill) > 0
 }
 
 // jitterFull draws uniformly from (0, d] — "full jitter". Retry
@@ -1018,78 +971,6 @@ func (p *Pusher) encode(prof *Profile) (body []byte, ctype string, err error) {
 		return nil, "", err
 	}
 	return p.jsonBuf.Bytes(), "application/json", nil
-}
-
-// deliver sends one profile with bounded retries and exponential
-// backoff, counting a drop when every attempt fails — the memory-only
-// path (spooled pushers go through deliverOrSpool). The breaker gates
-// every attempt: while open, no request leaves the process.
-func (p *Pusher) deliver(prof *Profile) {
-	body, ctype, err := p.encode(prof)
-	if err != nil {
-		p.errors.Add(1)
-		p.drop(DropEncode)
-		return
-	}
-	seq := p.allocSeq()
-	backoff := p.opts.Backoff
-	for attempt := 0; ; attempt++ {
-		if !p.breakerWait() {
-			p.drop(DropBreakerOpen)
-			return
-		}
-		retryAfter, status, ok := p.post(body, ctype, seq)
-		if ok {
-			p.recovered()
-			p.breakerSuccess()
-			return
-		}
-		if p.binary && (status == http.StatusUnsupportedMediaType || status == http.StatusBadRequest) {
-			// Not a delivery failure — a format negotiation failure: the
-			// daemon is alive but does not read binary profiles. Latch
-			// JSON and retry immediately; no error, breaker, or attempt
-			// is charged.
-			p.binary = false
-			p.fallbacks.Add(1)
-			p.opts.Logf("witch: pusher to %s: daemon rejected binary encoding (HTTP %d), falling back to JSON", p.url, status)
-			if body, ctype, err = p.encode(prof); err != nil {
-				p.errors.Add(1)
-				p.drop(DropEncode)
-				return
-			}
-			attempt--
-			continue
-		}
-		p.errors.Add(1)
-		p.breakerFailure(retryAfter)
-		if attempt >= p.opts.Retries {
-			p.drop(DropRetries)
-			return
-		}
-		p.retries.Add(1)
-		select {
-		case <-time.After(p.jitterFull(backoff)):
-		case <-p.quit:
-			if p.aborted.Load() {
-				return
-			}
-			// Closing: one immediate final attempt instead of sleeping
-			// out the remaining backoff schedule — unless the breaker is
-			// open, in which case the daemon asked for silence.
-			if time.Until(p.brOpenTill) > 0 {
-				p.drop(DropBreakerOpen)
-				return
-			}
-			if _, _, ok := p.post(body, ctype, seq); ok {
-				p.recovered()
-			} else {
-				p.errors.Add(1)
-				p.drop(DropRetries)
-			}
-			return
-		}
-		backoff *= 2
-	}
 }
 
 // Idempotency-key headers: the daemon journals (pusher, seq) with each

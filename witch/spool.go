@@ -165,8 +165,14 @@ func (s *spool) floorLSN() uint64 {
 	return s.meta.AckLSN
 }
 
-// pending reports durable entries awaiting delivery.
-func (s *spool) pending() uint64 { return s.pendingN }
+// pending reports durable entries awaiting delivery: always 0 for a
+// pusher without a spool (nil s).
+func (s *spool) pending() uint64 {
+	if s == nil {
+		return 0
+	}
+	return s.pendingN
+}
 
 // writeMeta replaces the meta file atomically.
 func (s *spool) writeMeta() error {

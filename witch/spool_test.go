@@ -431,6 +431,77 @@ func TestPusherSpoolRestartResumesWhereItDied(t *testing.T) {
 	}
 }
 
+// TestPusherSpoolRejectedEntryDoesNotWedge: a permanent verdict (413)
+// on sequence 1 retires that one profile as a "rejected" drop — no
+// retries, no breaker charge — whether it was being delivered directly
+// or replayed from the spool head, and the other four still arrive.
+func TestPusherSpoolRejectedEntryDoesNotWedge(t *testing.T) {
+	for _, replay := range []bool{false, true} {
+		t.Run(map[bool]string{false: "direct", true: "replay"}[replay], func(t *testing.T) {
+			var down atomic.Bool
+			down.Store(replay)
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if down.Load() {
+					http.Error(w, "down", http.StatusServiceUnavailable)
+					return
+				}
+				if r.Header.Get(PusherSeqHeader) == "1" {
+					http.Error(w, "too large", http.StatusRequestEntityTooLarge)
+					return
+				}
+				w.Write([]byte(`{"profiles":1}`))
+			}))
+			defer ts.Close()
+
+			p, err := NewPusher(PusherOptions{
+				URL:              ts.URL,
+				Backoff:          time.Millisecond,
+				BreakerThreshold: 2,
+				BreakerCooldown:  5 * time.Millisecond,
+				Logf:             func(string, ...any) {},
+				SpoolDir:         t.TempDir(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			prof := pushTestProfile(t)
+			const n = 5
+			for i := 0; i < n; i++ {
+				if !p.Push(prof) {
+					t.Fatalf("push %d rejected", i)
+				}
+			}
+			await := func(done func(PusherStats) bool) PusherStats {
+				t.Helper()
+				deadline := time.Now().Add(5 * time.Second)
+				for {
+					st := p.Stats()
+					if done(st) {
+						return st
+					}
+					if time.Now().After(deadline) {
+						t.Fatalf("timed out: %+v", st)
+					}
+					time.Sleep(2 * time.Millisecond)
+				}
+			}
+			trips := uint64(0)
+			if replay {
+				trips = await(func(st PusherStats) bool { return st.SpoolPending == n }).BreakerTrips
+				down.Store(false)
+			}
+			st := await(func(st PusherStats) bool { return st.Sent+st.Dropped == n && st.SpoolPending == 0 })
+			if st.Sent != n-1 || st.DroppedByReason[DropRejected] != 1 || st.SpoolPending != 0 {
+				t.Fatalf("want %d sent, 1 rejected, nothing pending: %+v", n-1, st)
+			}
+			if st.BreakerTrips != trips {
+				t.Fatalf("the rejection charged the breaker: %d trips, want %d (%+v)", st.BreakerTrips, trips, st)
+			}
+		})
+	}
+}
+
 // pushTestProfile builds one real profile for pusher tests.
 func pushTestProfile(t *testing.T) *Profile {
 	t.Helper()
