@@ -232,7 +232,7 @@ func TestMergeHealthCombination(t *testing.T) {
 }
 
 // TestConcurrentMergeAndSnapshot drives parallel ingest and query
-// against the shard locks; run under -race this is the aggregator's
+// against the group locks; run under -race this is the aggregator's
 // half of the concurrency satellite.
 func TestConcurrentMergeAndSnapshot(t *testing.T) {
 	prof := run(t, 1)

@@ -1,6 +1,7 @@
 package agg_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/agg"
@@ -43,7 +44,7 @@ func BenchmarkMergeFrom(b *testing.B) {
 	prof := benchProfile(b)
 	src := agg.New()
 	src.Merge(prof)
-	dst := agg.NewSized(src.PairCount())
+	dst := agg.New()
 	dst.MergeFrom(src)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -61,6 +62,32 @@ func BenchmarkSnapshot(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if a.Snapshot(prof.Tool, prof.Program) == nil {
 			b.Fatal("empty snapshot")
+		}
+	}
+}
+
+// BenchmarkSnapshotProgram is a /v1/profile miss on the query
+// workload's seed: 50 programs × 2,500 pairs, one program snapshotted.
+// Only that program's group is walked and ranked.
+func BenchmarkSnapshotProgram(b *testing.B) {
+	a := agg.New()
+	for p := 0; p < 50; p++ {
+		program := fmt.Sprintf("qprog-%02d", p)
+		pairs := make([]witch.Pair, 0, 2500)
+		for i := 0; i < 2500; i++ {
+			pairs = append(pairs, witch.Pair{
+				Src:   fmt.Sprintf("%s_store_%06d", program, i),
+				Dst:   fmt.Sprintf("%s_load_%06d", program, i),
+				Chain: fmt.Sprintf("%s:s%06d->l%06d", program, i, i),
+				Waste: float64((i * 7919) % 200), Use: float64((i * 104729) % 200),
+			})
+		}
+		a.Merge(witch.NewProfile(witch.Profile{Program: program, Tool: string(witch.DeadStores), Waste: 1, Use: 1}, pairs))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(a.Snapshot(string(witch.DeadStores), "qprog-07").TopPairs(0)) != 2500 {
+			b.Fatal("short snapshot")
 		}
 	}
 }

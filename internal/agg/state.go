@@ -1,7 +1,8 @@
 package agg
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/witch"
 )
@@ -43,55 +44,44 @@ type PairState struct {
 // State snapshots the aggregator. Safe for concurrent use with Merge,
 // though callers wanting an exact cut must quiesce writers (the store
 // and witchd's snapshot barrier do). Output order is deterministic so
-// identical aggregates encode identically.
+// identical aggregates encode identically: metas by (tool, program),
+// pairs by (tool, program, src, dst, chain).
 func (a *Aggregator) State() *State {
 	st := &State{}
-	a.metaMu.Lock()
-	for k, m := range a.metas {
-		st.Metas = append(st.Metas, MetaState{
-			Tool: k.tool, Program: k.program,
-			Profiles: m.profiles, Waste: m.waste, Use: m.use,
-			WallNanos: m.wallNanos, ToolBytes: m.toolBytes,
-			Instrs: m.instrs, Loads: m.loads, Stores: m.stores,
-			Exhaustive: m.exhaustive, Stats: m.stats, Health: m.health,
-		})
-	}
-	a.metaMu.Unlock()
-	for i := range a.shards {
-		sh := &a.shards[i]
-		sh.mu.Lock()
-		for _, head := range sh.pairs {
+	for _, g := range a.sortedGroups() {
+		g.mu.Lock()
+		k, m := g.key, &g.meta
+		if g.hasMeta {
+			st.Metas = append(st.Metas, MetaState{
+				Tool: k.tool, Program: k.program,
+				Profiles: m.profiles, Waste: m.waste, Use: m.use,
+				WallNanos: m.wallNanos, ToolBytes: m.toolBytes,
+				Instrs: m.instrs, Loads: m.loads, Stores: m.stores,
+				Exhaustive: m.exhaustive, Stats: m.stats, Health: m.health,
+			})
+		}
+		first := len(st.Pairs)
+		for _, head := range g.pairs {
 			for acc := head; acc != nil; acc = acc.next {
 				st.Pairs = append(st.Pairs, PairState{
-					Tool: acc.tool, Program: acc.program,
+					Tool: k.tool, Program: k.program,
 					Src: acc.src, Dst: acc.dst, Chain: acc.chain,
 					Waste: acc.waste, Use: acc.use,
 					SrcLine: acc.srcLine, DstLine: acc.dstLine,
 				})
 			}
 		}
-		sh.mu.Unlock()
+		g.mu.Unlock()
+		slices.SortFunc(st.Pairs[first:], func(x, y PairState) int {
+			if c := cmp.Compare(x.Src, y.Src); c != 0 {
+				return c
+			}
+			if c := cmp.Compare(x.Dst, y.Dst); c != 0 {
+				return c
+			}
+			return cmp.Compare(x.Chain, y.Chain)
+		})
 	}
-	sort.Slice(st.Metas, func(i, j int) bool {
-		if st.Metas[i].Tool != st.Metas[j].Tool {
-			return st.Metas[i].Tool < st.Metas[j].Tool
-		}
-		return st.Metas[i].Program < st.Metas[j].Program
-	})
-	sort.Slice(st.Pairs, func(i, j int) bool {
-		x, y := st.Pairs[i], st.Pairs[j]
-		switch {
-		case x.Tool != y.Tool:
-			return x.Tool < y.Tool
-		case x.Program != y.Program:
-			return x.Program < y.Program
-		case x.Src != y.Src:
-			return x.Src < y.Src
-		case x.Dst != y.Dst:
-			return x.Dst < y.Dst
-		}
-		return x.Chain < y.Chain
-	})
 	return st
 }
 
@@ -100,57 +90,43 @@ func (a *Aggregator) State() *State {
 // answers a fleet query by folding every peer's exported State into
 // its own local view with the exact rules Merge/MergeFrom use:
 // waste/use and counters sum, Stats sum (MaxBlindSpot is a max),
-// Health flags OR. Safe for concurrent use with Merge on a.
+// Health flags OR. Safe for concurrent use with Merge on a. State
+// emits one group's pair rows contiguously, so each run of rows with
+// one (tool, program) is folded under one hold of the group's lock.
 func (a *Aggregator) MergeState(st *State) {
 	for i := range st.Metas {
 		m := &st.Metas[i]
-		a.mergeMeta(metaKey{m.Tool, m.Program}, meta{
+		g := a.group(m.Tool, m.Program, 0)
+		g.mu.Lock()
+		g.addMeta(meta{
 			profiles: m.Profiles, waste: m.Waste, use: m.Use,
 			wallNanos: m.WallNanos, toolBytes: m.ToolBytes,
 			instrs: m.Instrs, loads: m.Loads, stores: m.Stores,
 			exhaustive: m.Exhaustive, stats: m.Stats, health: m.Health,
 		})
+		g.touch()
+		g.mu.Unlock()
 	}
-	for i := range st.Pairs {
-		p := &st.Pairs[i]
-		h := hashKey(p.Tool, p.Program, p.Src, p.Dst, p.Chain)
-		sh := &a.shards[h&(numShards-1)]
-		sh.mu.Lock()
-		acc := sh.find(h, p.Tool, p.Program, p.Src, p.Dst, p.Chain)
-		if acc == nil {
-			acc = &pairAcc{
-				pairKey: pairKey{p.Tool, p.Program, p.Src, p.Dst, p.Chain},
-				hash:    h,
-				srcLine: p.SrcLine, dstLine: p.DstLine,
-			}
-			sh.insert(acc)
+	for i := 0; i < len(st.Pairs); {
+		tool, program := st.Pairs[i].Tool, st.Pairs[i].Program
+		j := i + 1
+		for j < len(st.Pairs) && st.Pairs[j].Tool == tool && st.Pairs[j].Program == program {
+			j++
 		}
-		acc.waste += p.Waste
-		acc.use += p.Use
-		sh.mu.Unlock()
+		g := a.group(tool, program, j-i)
+		g.mu.Lock()
+		for _, p := range st.Pairs[i:j] {
+			g.add(hashPair(p.Src, p.Dst, p.Chain), p.Src, p.Dst, p.Chain, p.Waste, p.Use, p.SrcLine, p.DstLine)
+		}
+		g.touch()
+		g.mu.Unlock()
+		i = j
 	}
 }
 
-// FromState rebuilds an aggregator from a snapshot image, pre-sizing
-// the shard maps from the known pair count.
+// FromState rebuilds an aggregator from a snapshot image.
 func FromState(st *State) *Aggregator {
-	a := NewSized(len(st.Pairs))
-	for _, m := range st.Metas {
-		a.metas[metaKey{m.Tool, m.Program}] = &meta{
-			profiles: m.Profiles, waste: m.Waste, use: m.Use,
-			wallNanos: m.WallNanos, toolBytes: m.ToolBytes,
-			instrs: m.Instrs, loads: m.Loads, stores: m.Stores,
-			exhaustive: m.Exhaustive, stats: m.Stats, health: m.Health,
-		}
-	}
-	for _, p := range st.Pairs {
-		h := hashKey(p.Tool, p.Program, p.Src, p.Dst, p.Chain)
-		a.shards[h&(numShards-1)].insert(&pairAcc{
-			pairKey: pairKey{p.Tool, p.Program, p.Src, p.Dst, p.Chain},
-			hash:    h,
-			waste:   p.Waste, use: p.Use,
-			srcLine: p.SrcLine, dstLine: p.DstLine,
-		})
-	}
+	a := New()
+	a.MergeState(st)
 	return a
 }

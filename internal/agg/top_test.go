@@ -14,7 +14,7 @@ import (
 // colliding waste values (so tie-breaking paths are exercised).
 func syntheticAgg(n int, seed int64) *Aggregator {
 	rng := rand.New(rand.NewSource(seed))
-	a := NewSized(n)
+	a := New()
 	const batch = 512
 	for off := 0; off < n; off += batch {
 		m := batch
@@ -41,29 +41,39 @@ func syntheticAgg(n int, seed int64) *Aggregator {
 	return a
 }
 
+// rank returns the synthetic program's pairs as SnapshotTop ranks them;
+// n <= 0 ranks them all.
+func rank(a *Aggregator, n int) []witch.Pair {
+	p := a.SnapshotTop(string(witch.DeadStores), "synthetic", n)
+	if p == nil {
+		return nil
+	}
+	return p.TopPairs(0)
+}
+
 // TestPairsForTopMatchesFullSort: the bounded-heap selection must
 // return the exact prefix of the fully sorted ranking, ties included.
 func TestPairsForTopMatchesFullSort(t *testing.T) {
 	for _, total := range []int{0, 1, 7, 100, 3000} {
 		a := syntheticAgg(total, int64(total)+1)
-		full := a.pairsFor(string(witch.DeadStores), "synthetic")
+		full := rank(a, 0)
 		if len(full) != total {
-			t.Fatalf("pairsFor returned %d pairs, want %d", len(full), total)
+			t.Fatalf("full ranking returned %d pairs, want %d", len(full), total)
 		}
 		if !sort.SliceIsSorted(full, func(i, j int) bool { return pairLess(&full[i], &full[j]) }) {
-			t.Fatalf("pairsFor output not sorted (total=%d)", total)
+			t.Fatalf("full ranking not sorted (total=%d)", total)
 		}
 		for _, n := range []int{1, 2, 3, 10, 20, total - 1, total, total + 5} {
 			if n <= 0 {
 				continue
 			}
-			got := a.pairsForTop(string(witch.DeadStores), "synthetic", n)
+			got := rank(a, n)
 			want := full
 			if n < len(full) {
 				want = full[:n]
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("pairsForTop(n=%d, total=%d) diverges from full sort prefix", n, total)
+				t.Fatalf("top-%d selection (total=%d) diverges from full sort prefix", n, total)
 			}
 		}
 	}
@@ -90,5 +100,54 @@ func TestSnapshotTopMatchesSnapshot(t *testing.T) {
 	}
 	if a.SnapshotTop("no-such-tool", "", 20) != nil {
 		t.Fatal("SnapshotTop of unknown tool should be nil")
+	}
+}
+
+// TestRefoldReusesUnchangedGroups: Refold carries over, by pointer,
+// every group whose ordered source stamps are unchanged, refolds the
+// group a merge touched, and matches a MergeFrom fold of the same
+// sources exactly either way.
+func TestRefoldReusesUnchangedGroups(t *testing.T) {
+	s1, s2 := New(), New()
+	s1.Merge(synth("dead", "alpha", 0.1, 5))
+	s1.Merge(synth("dead", "beta", 0.3, 4))
+	s2.Merge(synth("dead", "alpha", 0.7, 6))
+	s2.Merge(synth("load", "beta", 0.2, 3))
+	srcs := []*Aggregator{s1, s2}
+	first := Refold(srcs, nil)
+
+	s2.Merge(synth("dead", "alpha", 0.9, 2))
+	second := Refold(srcs, first)
+	alpha, beta := groupKey{"dead", "alpha"}, groupKey{"dead", "beta"}
+	if second.Agg.groups[beta] != first.Agg.groups[beta] || second.Agg.groups[groupKey{"load", "beta"}] != first.Agg.groups[groupKey{"load", "beta"}] {
+		t.Fatal("unchanged groups were refolded, not carried over")
+	}
+	if second.Agg.groups[alpha] == first.Agg.groups[alpha] {
+		t.Fatal("the group a merge touched was carried over stale")
+	}
+	// Reordering the sources changes every multi-source list.
+	swapped := Refold([]*Aggregator{s2, s1}, second)
+	if swapped.Agg.groups[alpha] == second.Agg.groups[alpha] {
+		t.Fatal("a reordered source list was treated as unchanged")
+	}
+
+	want := New()
+	for _, src := range srcs {
+		want.MergeFrom(src)
+	}
+	for _, tool := range []string{"dead", "load"} {
+		for _, prog := range []string{"", "alpha", "beta"} {
+			w, g := want.Snapshot(tool, prog), second.Agg.Snapshot(tool, prog)
+			if (w == nil) != (g == nil) {
+				t.Fatalf("%s/%q: presence differs", tool, prog)
+			}
+			if w == nil {
+				continue
+			}
+			pairsEqual(t, w.TopPairs(0), g.TopPairs(0), tool+"/"+prog)
+			if w.Waste != g.Waste || w.Use != g.Use || w.Program != g.Program {
+				t.Fatalf("%s/%q: scalars differ", tool, prog)
+			}
+		}
 	}
 }

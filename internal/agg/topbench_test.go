@@ -15,7 +15,7 @@ func topBenchAgg(b *testing.B) *Aggregator {
 	b.Helper()
 	const n = 20000
 	rng := rand.New(rand.NewSource(7))
-	a := NewSized(n)
+	a := New()
 	pairs := make([]witch.Pair, 0, n)
 	for k := 0; k < n; k++ {
 		pairs = append(pairs, witch.Pair{

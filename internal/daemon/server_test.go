@@ -395,3 +395,64 @@ func TestConcurrentPushersWithEviction(t *testing.T) {
 		t.Fatalf("all-time view has %d profiles, want %d", got, pushers*perP)
 	}
 }
+
+// TestCrossProgramTieRanking: two programs may hold the same pair
+// signature with equal waste; a tool-wide view must still rank them in
+// one order — use descending, then source line, then destination line
+// ascending — on the full-sort path (/v1/profile) and the top-n heap
+// (/v1/top) alike. The winner of each tie alternates between the
+// programs, so no ingest or map order can pass by accident.
+func TestCrossProgramTieRanking(t *testing.T) {
+	pair := func(sig int, waste, use float64, srcLine, dstLine int) witch.Pair {
+		return witch.Pair{
+			Src: fmt.Sprintf("a.c:f:%d", sig), Dst: fmt.Sprintf("a.c:g:%d", sig), Chain: fmt.Sprintf("main->f%d->g%d", sig, sig),
+			Waste: waste, Use: use, SrcLine: srcLine, DstLine: dstLine,
+		}
+	}
+	alpha := []witch.Pair{pair(1, 10, 3, 1, 1), pair(2, 5, 2, 4, 1), pair(3, 1, 2, 3, 8)}
+	beta := []witch.Pair{pair(1, 10, 7, 1, 1), pair(2, 5, 2, 9, 1), pair(3, 1, 2, 3, 1)}
+	want := []witch.Pair{beta[0], alpha[0], alpha[1], beta[1], beta[2], alpha[2]}
+
+	_, ts := newTestServer(t, store.Config{})
+	for _, p := range []struct {
+		program string
+		pairs   []witch.Pair
+	}{{"alpha", alpha}, {"beta", beta}} {
+		var body bytes.Buffer
+		prof := witch.NewProfile(witch.Profile{Program: p.program, Tool: "dead", Waste: 16, Use: 7}, p.pairs)
+		if err := prof.WriteJSON(&body); err != nil {
+			t.Fatal(err)
+		}
+		if resp := ingest(t, ts, body.Bytes()); resp.StatusCode != http.StatusOK {
+			t.Fatalf("ingest %s: HTTP %d", p.program, resp.StatusCode)
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/profile?tool=dead")
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := witch.ReadProfileJSON(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := merged.TopPairs(0); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("/v1/profile ranking:\n got %v\nwant %v", got, want)
+	}
+	for _, n := range []int{2, 3, 6} {
+		resp, err := http.Get(fmt.Sprintf("%s/v1/top?tool=dead&n=%d", ts.URL, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var top struct{ Pairs []witch.Pair }
+		err = json.NewDecoder(resp.Body).Decode(&top)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(top.Pairs) != fmt.Sprint(want[:n]) {
+			t.Fatalf("/v1/top n=%d ranking:\n got %v\nwant %v", n, top.Pairs, want[:n])
+		}
+	}
+}

@@ -28,6 +28,16 @@
 // it, and the next read rebuilds — the cache can serve fresh data
 // labeled old, never stale data labeled current.
 //
+// A Query miss reuses the window's previous result where it can. The
+// entry keeps the agg.Folded it was built as: for each (tool, program)
+// group, the ordered stamps of the source groups it was summed from.
+// The rebuild compares each group's current list with the recorded one,
+// carries the group over by pointer if they are equal and refolds it
+// from scratch, in the same source order, if not. Stamps are unique per
+// mutation and read under the lock guarding the content they label, so
+// equal lists mean equal inputs summed in an equal order: the rebuilt
+// result is byte-identical to a full fold.
+//
 // Restore swaps the whole world, so it also regenerates the store's
 // generation stamp. The generation is part of ExportVersion: a
 // coordinator holding a delta baseline from a peer that restarted (or
@@ -62,7 +72,7 @@ const (
 type queryEntry struct {
 	epoch uint64
 	idx   int64
-	agg   *agg.Aggregator
+	fold  *agg.Folded
 }
 
 type partEntry struct {
@@ -133,8 +143,8 @@ func (s *Store) rebuildToolsLocked() {
 		}
 	}
 	for _, b := range s.liveBuckets(0, time.Time{}) {
-		for _, a := range b.snapshotParts() {
-			for _, t := range a.Tools() {
+		for _, p := range b.sortedParts() {
+			for _, t := range p.a.Tools() {
 				set[t] = true
 			}
 		}

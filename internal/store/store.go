@@ -15,18 +15,23 @@
 // so single-node behavior is unchanged by partitioning.
 //
 // Queries select the live buckets overlapping a trailing window (plus
-// the rollup for unbounded queries) and merge them into a fresh
-// aggregator, so a query never blocks ingest for longer than the
-// per-shard locks it shares.
+// the rollup for unbounded queries) and fold them into a fresh
+// aggregator in one fixed order — rollup partitions by id, then buckets
+// by start time, each with its partitions by id — so a pair fed by many
+// sources is always summed in the same order and repeated folds of one
+// state are byte-identical. A query never blocks ingest for longer than
+// the per-group lock it shares.
 package store
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -70,35 +75,40 @@ func newBucket(start time.Time) *bucket {
 	return &bucket{start: start, parts: make(map[string]*agg.Aggregator, 2)}
 }
 
-// part returns the partition for id, creating it sized by hint.
-func (b *bucket) part(id string, hint int) *agg.Aggregator {
+// part returns the partition for id, creating it.
+func (b *bucket) part(id string) *agg.Aggregator {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	a := b.parts[id]
 	if a == nil {
-		a = agg.NewSized(hint)
+		a = agg.New()
 		b.parts[id] = a
 	}
 	return a
 }
 
-// snapshotParts copies the partition pointer set under the map lock.
-func (b *bucket) snapshotParts() map[string]*agg.Aggregator {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make(map[string]*agg.Aggregator, len(b.parts))
-	for id, a := range b.parts {
-		out[id] = a
+// partRef is one partition of a bucket or of the rollup.
+type partRef struct {
+	id string
+	a  *agg.Aggregator
+}
+
+// sortedRefs lists a partition map sorted by id: the fold order.
+func sortedRefs(parts map[string]*agg.Aggregator) []partRef {
+	out := make([]partRef, 0, len(parts))
+	for id, a := range parts {
+		out = append(out, partRef{id, a})
 	}
+	slices.SortFunc(out, func(x, y partRef) int { return cmp.Compare(x.id, y.id) })
 	return out
 }
 
-func (b *bucket) pairCount() int {
-	n := 0
-	for _, a := range b.snapshotParts() {
-		n += a.PairCount()
-	}
-	return n
+// sortedParts copies the partition set, sorted by id, under the map
+// lock.
+func (b *bucket) sortedParts() []partRef {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return sortedRefs(b.parts)
 }
 
 // Store is the time-bucketed retention layer. Safe for concurrent use.
@@ -125,14 +135,6 @@ type Store struct {
 
 	ingested       atomic.Uint64
 	evictedBuckets atomic.Uint64
-
-	// bucketHint and queryHint remember recent pair cardinalities —
-	// of the last expired bucket and the last Query result — so fresh
-	// aggregators pre-size their shard maps instead of growing them
-	// incrementally under the merge locks. Hints are advisory: a bad one
-	// costs memory or growth, never correctness.
-	bucketHint atomic.Int64
-	queryHint  atomic.Int64
 
 	// gen and epoch version the state for the query fast path (see
 	// cache.go): gen identifies this store instance's lifetime (fresh
@@ -231,12 +233,9 @@ func (s *Store) IngestKeyedAt(id string, p *witch.Profile, now time.Time) {
 	s.mu.Unlock()
 
 	if expired != nil {
-		// The expired bucket's cardinality is the best predictor for the
-		// next bucket of the same traffic.
-		s.bucketHint.Store(int64(expired.pairCount()))
 		s.fold(expired)
 	}
-	b.part(id, int(s.bucketHint.Load())).Merge(p)
+	b.part(id).Merge(p)
 	b.rw.RUnlock()
 	s.ingested.Add(1)
 	// Bump AFTER the merge is visible: a concurrent cache fill that
@@ -275,9 +274,9 @@ func (s *Store) fold(b *bucket) {
 	b.rw.Lock()
 	s.foldMu.Lock()
 	folded := make([]string, 0, len(b.parts))
-	for id, a := range b.parts {
-		s.rollupPart(id).MergeFrom(a)
-		folded = append(folded, id)
+	for _, p := range sortedRefs(b.parts) {
+		s.rollupPart(p.id).MergeFrom(p.a)
+		folded = append(folded, p.id)
 	}
 	s.mu.Lock()
 	for i, p := range s.pending {
@@ -300,7 +299,9 @@ func (s *Store) fold(b *bucket) {
 }
 
 // liveBuckets collects the ring and pending buckets overlapping the
-// trailing window (all of them when window <= 0). Callers own locking.
+// trailing window (all of them when window <= 0), sorted by start time
+// (a ring bucket before a pending one with the same start). Callers
+// own locking.
 func (s *Store) liveBuckets(window time.Duration, now time.Time) []*bucket {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -314,7 +315,31 @@ func (s *Store) liveBuckets(window time.Duration, now time.Time) []*bucket {
 		}
 		live = append(live, b)
 	}
+	slices.SortStableFunc(live, func(x, y *bucket) int { return x.start.Compare(y.start) })
 	return live
+}
+
+// withSources calls fn with every partition a query over the window
+// folds, in fold order: rollup partitions by id (window <= 0 only),
+// then live buckets by start time, each with its partitions by id. An
+// all-time read holds the fold barrier throughout, so a bucket
+// mid-eviction is seen exactly once, from whichever side of the rollup
+// it is on.
+func (s *Store) withSources(window time.Duration, now time.Time, fn func([]*agg.Aggregator)) {
+	var srcs []*agg.Aggregator
+	if window <= 0 {
+		s.foldMu.Lock()
+		defer s.foldMu.Unlock()
+		for _, p := range sortedRefs(s.rollup) {
+			srcs = append(srcs, p.a)
+		}
+	}
+	for _, b := range s.liveBuckets(window, now) {
+		for _, p := range b.sortedParts() {
+			srcs = append(srcs, p.a)
+		}
+	}
+	fn(srcs)
 }
 
 // Query returns the merged view of every partition of every bucket
@@ -328,54 +353,45 @@ func (s *Store) liveBuckets(window time.Duration, now time.Time) []*bucket {
 // calls return the same aggregator without re-merging — which makes
 // the returned aggregator SHARED and read-only by contract. Callers
 // merge *from* it (Snapshot, Tools, Health, MergeFrom's source side),
-// never into it. Config.NoCache restores a fresh build per call.
+// never into it. A miss refolds only the (tool, program) groups whose
+// ordered source stamps moved since the window's previous result and
+// carries the rest over by pointer (agg.Refold; see cache.go).
+// Config.NoCache folds every source from scratch with MergeFrom on
+// every call.
 func (s *Store) Query(window time.Duration) *agg.Aggregator {
 	now := s.cfg.Now()
 	if s.cfg.NoCache {
-		return s.queryAt(window, now)
+		out := agg.New()
+		s.withSources(window, now, func(srcs []*agg.Aggregator) {
+			for _, a := range srcs {
+				out.MergeFrom(a)
+			}
+		})
+		return out
 	}
 	idx := s.bucketIdx(window, now)
 	e := s.epoch.Load() // read BEFORE building (see cache.go)
 	s.cacheMu.Lock()
-	if ent := s.queryCache[window]; ent != nil && ent.epoch == e && ent.idx == idx {
+	ent := s.queryCache[window]
+	if ent != nil && ent.epoch == e && ent.idx == idx {
 		s.cacheMu.Unlock()
 		s.queryHits.Add(1)
-		return ent.agg
+		return ent.fold.Agg
 	}
 	s.cacheMu.Unlock()
 	s.queryMisses.Add(1)
-	out := s.queryAt(window, now)
+	var prev, out *agg.Folded
+	if ent != nil {
+		prev = ent.fold
+	}
+	s.withSources(window, now, func(srcs []*agg.Aggregator) { out = agg.Refold(srcs, prev) })
 	s.cacheMu.Lock()
 	if len(s.queryCache) >= maxCachedWindows {
 		s.queryCache = make(map[time.Duration]*queryEntry)
 	}
-	s.queryCache[window] = &queryEntry{epoch: e, idx: idx, agg: out}
+	s.queryCache[window] = &queryEntry{epoch: e, idx: idx, fold: out}
 	s.cacheMu.Unlock()
-	return out
-}
-
-// queryAt is the uncached merge behind Query.
-func (s *Store) queryAt(window time.Duration, now time.Time) *agg.Aggregator {
-	out := agg.NewSized(int(s.queryHint.Load()))
-
-	if window <= 0 {
-		s.foldMu.Lock()
-		defer s.foldMu.Unlock()
-	}
-	live := s.liveBuckets(window, now)
-
-	if window <= 0 {
-		for _, a := range s.rollup {
-			out.MergeFrom(a)
-		}
-	}
-	for _, b := range live {
-		for _, a := range b.snapshotParts() {
-			out.MergeFrom(a)
-		}
-	}
-	s.queryHint.Store(int64(out.PairCount()))
-	return out
+	return out.Agg
 }
 
 // QueryPartition is Query restricted to one pusher's partition. The
@@ -494,13 +510,13 @@ func (s *Store) exportAt(window time.Duration, now time.Time) *Export {
 		return a
 	}
 	if window <= 0 {
-		for id, a := range s.rollup {
-			acc(id).MergeFrom(a)
+		for _, p := range sortedRefs(s.rollup) {
+			acc(p.id).MergeFrom(p.a)
 		}
 	}
 	for _, b := range live {
-		for id, a := range b.snapshotParts() {
-			acc(id).MergeFrom(a)
+		for _, p := range b.sortedParts() {
+			acc(p.id).MergeFrom(p.a)
 		}
 	}
 
@@ -604,7 +620,7 @@ func (s *Store) ReplacePartition(id string, img *PartitionImage) {
 			s.rollupPart(id).MergeState(pb.State)
 			continue
 		}
-		b.part(id, 0).MergeState(pb.State)
+		b.part(id).MergeState(pb.State)
 	}
 }
 
@@ -701,15 +717,15 @@ func (s *Store) Snapshot(w io.Writer, anchor uint64, extra []byte) error {
 	}
 	for _, b := range buckets {
 		bi := bucketImage{StartUnixNano: b.start.UnixNano()}
-		for id, a := range b.snapshotParts() {
-			if id == "" {
-				bi.State = a.State()
+		for _, p := range b.sortedParts() {
+			if p.id == "" {
+				bi.State = p.a.State()
 				continue
 			}
 			if bi.Parts == nil {
 				bi.Parts = make(map[string]*agg.State)
 			}
-			bi.Parts[id] = a.State()
+			bi.Parts[p.id] = p.a.State()
 		}
 		img.Buckets = append(img.Buckets, bi)
 	}
@@ -916,10 +932,10 @@ func (s *Store) statsAt() Stats {
 	}
 	st.LiveBuckets = len(live)
 	for _, b := range live {
-		for id, a := range b.snapshotParts() {
-			st.LivePairs += a.PairCount()
-			if id != "" {
-				seen[id] = true
+		for _, p := range b.sortedParts() {
+			st.LivePairs += p.a.PairCount()
+			if p.id != "" {
+				seen[p.id] = true
 			}
 		}
 	}
@@ -929,7 +945,19 @@ func (s *Store) statsAt() Stats {
 }
 
 // Health combines the degradation records of everything held — live
-// buckets and rollup — and reports how many profiles contributed.
+// buckets and rollup — and reports how many profiles contributed. It
+// reads each partition's group scalars, never a pair: health merging is
+// commutative and associative, so this equals Query(0).Health() without
+// paying for the fold.
 func (s *Store) Health() (witch.Health, uint64) {
-	return s.Query(0).Health()
+	var h witch.Health
+	var n uint64
+	s.withSources(0, time.Time{}, func(srcs []*agg.Aggregator) {
+		for _, a := range srcs {
+			ah, an := a.Health()
+			h = agg.MergeHealth(h, ah)
+			n += an
+		}
+	})
+	return h, n
 }
